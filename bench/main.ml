@@ -24,9 +24,12 @@
    rounds — deterministic, so they diff cleanly across machines.
 
    Everything measured is persisted as machine-readable JSON
-   ([--out FILE], default BENCH_PR9.json; schema anon-bench/3 with the
-   git revision, [--label] and --jobs recorded) so bench runs leave a
-   comparable baseline behind. *)
+   ([--out FILE], default _build/bench-latest.json; schema anon-bench/3
+   with the git revision, [--label] (default "latest") and --jobs
+   recorded) so bench runs leave a comparable baseline behind. The
+   default stays under _build/ so a plain run never overwrites a
+   committed BENCH_*.json baseline; pass [--out] and [--label] to write
+   one on purpose. *)
 
 open Bechamel
 open Toolkit
@@ -508,7 +511,11 @@ let baseline_json ~label ~jobs ~exp_timings ~pool_timings ~mc_timing ~micro
       ("load", List load_rows);
     ]
 
+let default_out = Filename.concat "_build" "bench-latest.json"
+
 let write_baseline ~path json =
+  (let dir = Filename.dirname path in
+   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755);
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
@@ -535,7 +542,7 @@ let () =
     | a :: rest -> parse rest (a :: ids, jobs, out, label, bechamel, compare_ids)
   in
   let ids, jobs, out, label, bechamel, compare_ids =
-    parse args ([], 0, "BENCH_PR9.json", "PR9", true, [])
+    parse args ([], 0, default_out, "latest", true, [])
   in
   let jobs = X.Pool.resolve ~jobs () in
   let compare_ids = match compare_ids with [] -> [ "T1" ] | ids -> ids in

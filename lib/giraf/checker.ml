@@ -107,8 +107,10 @@ let check_all_timely t (info : Trace.round_info) =
 (* From [gst] on the same process must be a source every round — except
    that a source which decides and halts stops executing rounds, so the
    obligation passes to a new stable source. We therefore require a single
-   covering source per maximal segment, with segment boundaries only where
-   every remaining candidate stopped sending (halted). *)
+   covering source per maximal segment. Every remaining candidate covered
+   the whole segment, so any of them qualifies as its stable source: a
+   segment may end as soon as {e some} candidate stopped sending (halted),
+   even while its co-candidates still send. *)
 let check_stable_source t ~gst rounds =
   let late = List.filter (fun (i : Trace.round_info) -> i.round >= gst) rounds in
   let candidates_of info = List.filter (covers info) (correct_senders t info) in
@@ -118,8 +120,8 @@ let check_stable_source t ~gst rounds =
       let now = candidates_of info in
       let still = List.filter (fun s -> List.mem s now) candidates in
       if still <> [] then walk still rest
-      else if List.for_all (fun s -> not (List.mem s info.senders)) candidates then
-        (* every previous candidate halted: a new stable source may begin *)
+      else if List.exists (fun s -> not (List.mem s info.senders)) candidates then
+        (* a previous candidate halted: a new stable source may begin *)
         if now = [] then [ Unstable_source { gst } ] else walk now rest
       else [ Unstable_source { gst } ]
   in

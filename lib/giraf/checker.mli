@@ -39,7 +39,9 @@ val check_env : Trace.t -> violation list
       obligated receivers in {e every} round from [gst] on — allowing the
       stable source to change only when the previous one decided and
       halted (halted processes execute no rounds, so the obligation
-      passes on);
+      passes on). Every process that covered the whole segment so far
+      counts as its stable source, so the halt of any one of them ends
+      the segment;
     - [Async]: nothing;
     - [Dynamic (stability, rooted)]: each pulse round (the first of every
       [stability]-round window) needs, when [rooted], some sender covering

@@ -58,11 +58,13 @@ module Digest = struct
     end
     else feed_nat st n
 
-  (* One pass over the view feeding both streams. *)
-  let view_hashes v =
+  let view_hash fill =
     let st = stream () in
-    feed_string st v;
+    fill st;
     (st.a, st.b)
+
+  (* One pass over the view feeding both streams. *)
+  let view_hashes v = view_hash (fun st -> feed_string st v)
 
   type t = {
     versions : int array;  (* last refreshed Step_core version; -1 = never *)
@@ -103,13 +105,6 @@ module Digest = struct
       commit t ~slot ~version a b
     end
 
-  let refresh_stream t ~slot ~version fill =
-    if t.versions.(slot) <> version then begin
-      let st = stream () in
-      fill st;
-      commit t ~slot ~version st.a st.b
-    end
-
   let render ~round ~global sum1 sum2 =
     let b = Buffer.create (String.length global + 24) in
     Buffer.add_string b (string_of_int round);
@@ -121,6 +116,7 @@ module Digest = struct
     Buffer.contents b
 
   let key t ~round ~global = render ~round ~global t.sum1 t.sum2
+  let key_of_sums = render
 
   let full_key ~round ~global ~views =
     let sum1 = ref 0 and sum2 = ref 0 in

@@ -63,17 +63,24 @@ module Digest : sig
       [key = full_key] to keep the two paths honest. *)
   type stream
 
-  val stream : unit -> stream
   val feed_char : stream -> char -> unit
   val feed_string : stream -> string -> unit
   val feed_int : stream -> int -> unit
 
-  val refresh_stream : t -> slot:int -> version:int -> (stream -> unit) -> unit
-  (** [refresh] with a piecewise-fed view: replaces [slot]'s contribution
-      with the sums accumulated by [fill] on a fresh stream. *)
+  val view_hash : (stream -> unit) -> int * int
+  (** [view_hash fill] is the pair of stream hashes of the view [fill]
+      feeds into a fresh stream — one process's contribution to the
+      multiset sums, for callers that keep their own per-view hashes
+      instead of a slot table. *)
 
   val key : t -> round:int -> global:string -> string
   (** The digest key over the current slot contributions. *)
+
+  val key_of_sums : round:int -> global:string -> int -> int -> string
+  (** [key_of_sums ~round ~global sum1 sum2] is the digest key whose slot
+      contributions add up to [sum1] and [sum2] (wrapping): summing
+      {!view_hash} over a multiset of views and passing the sums gives the
+      {!full_key} of those views. *)
 
   val full_key : round:int -> global:string -> views:string list -> string
   (** Reference implementation: the same key computed from scratch over

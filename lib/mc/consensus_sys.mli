@@ -10,6 +10,11 @@
     {!Anon_consensus.Invariants.Consensus} online, so a violating schedule
     is reported at the transition that commits it.
 
+    A successor whose receivers each see a delivery pattern already
+    stepped at the same parent is keyed and judged from cached
+    per-receiver results, and its core is stepped only if the search
+    expands it (DESIGN.md §10).
+
     The crash schedule is fixed per exploration (enumerated outside, see
     {!Mc}), which keeps the static [correct] set — and therefore the
     environment obligations — identical to what {!Anon_giraf.Runner} and

@@ -17,6 +17,7 @@ module type SYSTEM_DEBUG = sig
 
   val snapshot : sys -> string
   val key_full : sys -> string
+  val expand_full : sys -> (Anon_giraf.Adversary.plan * sys * Anon_giraf.Checker.violation list) list
 end
 
 type stats = {

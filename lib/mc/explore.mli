@@ -56,9 +56,17 @@ module type SYSTEM_DEBUG = sig
   val snapshot : sys -> string
 
   val key_full : sys -> string
-  (** {!SYSTEM.key} recomputed from scratch, bypassing the incremental
-      per-process digest cache ({!Canon.Digest}). Must equal [key] on
-      every reachable node — the property the differential test pins. *)
+  (** {!SYSTEM.key} recomputed from scratch over every rendered view,
+      bypassing whatever per-process hashes the system caches. Must equal
+      [key] on every reachable node — the property the differential test
+      pins. *)
+
+  val expand_full :
+    sys -> (Anon_giraf.Adversary.plan * sys * Anon_giraf.Checker.violation list) list
+  (** {!SYSTEM.expand} with every successor stepped in full, bypassing any
+      cache a system keeps across a node's successors. Must agree with
+      [expand] successor by successor — plans, violations, keys, terminal
+      and pending facts, snapshots. *)
 end
 
 type stats = {

@@ -194,6 +194,9 @@ struct
     Canon.Digest.full_key ~round:(Core.round s.core) ~global:(global s)
       ~views:(List.init n (render_view s.core))
 
+  (* Every successor is already stepped in full. *)
+  let expand_full = expand
+
   (* The explored workload is finite: once every live client's script is
      drained and no add is blocked, no transition can complete another
      operation, so no future get exists to judge — the branch is closed. *)

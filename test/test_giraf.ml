@@ -523,6 +523,58 @@ let test_checker_ess_handover () =
     (List.length
        (G.Checker.check_env (mk_trace ~env:(G.Env.Ess { gst = 1 }) ~rounds:bad ())))
 
+(* A source segment ends once {e some} process that covered the whole
+   segment halts — any such process qualifies as the segment's stable
+   source, so its co-candidates still sending do not pin the segment open.
+   The shape of seed 105 run 8355 of the lockstep ESS batch: n=8, gst 10,
+   p3 crashes at round 10, p0 and p7 both cover rounds 10-11, p0 halts and
+   p2 covers from round 12 on while p7 keeps sending. *)
+let ess_n8_trace rounds =
+  {
+    G.Trace.n = 8;
+    inputs = Array.init 8 (fun i -> i + 1);
+    crash = G.Crash.of_events ~n:8 [ ev 3 10 G.Crash.Silent ];
+    churn = G.Churn.none ~n:8;
+    env = G.Env.Ess { gst = 10 };
+    rounds;
+  }
+
+let ess_n8_round k ~senders ~sources =
+  let obligated = List.filter (fun q -> q <> 3) senders in
+  base_round ~round:k ~senders ~obligated
+    ~timely:
+      (List.map (fun s -> (s, List.filter (fun q -> q <> s) obligated)) sources)
+
+let test_checker_ess_co_candidate_halts () =
+  let all = List.init 8 Fun.id in
+  let after_halt = List.filter (fun q -> q <> 0 && q <> 3) all in
+  let rounds =
+    [
+      ess_n8_round 10 ~senders:all ~sources:[ 0; 7 ];
+      ess_n8_round 11 ~senders:(List.filter (fun q -> q <> 3) all) ~sources:[ 0; 7 ];
+      ess_n8_round 12 ~senders:after_halt ~sources:[ 2 ];
+      ess_n8_round 13 ~senders:after_halt ~sources:[ 2 ];
+    ]
+  in
+  check_int "handover after one co-candidate halts ok" 0
+    (List.length (G.Checker.check_env (ess_n8_trace rounds)))
+
+let test_checker_ess_switch_while_sending () =
+  let all = List.init 8 Fun.id in
+  let live = List.filter (fun q -> q <> 3) all in
+  let rounds =
+    [
+      ess_n8_round 10 ~senders:all ~sources:[ 0; 7 ];
+      ess_n8_round 11 ~senders:live ~sources:[ 0; 7 ];
+      ess_n8_round 12 ~senders:live ~sources:[ 2 ];
+    ]
+  in
+  Alcotest.(check bool)
+    "switch while every candidate sends flagged" true
+    (List.exists
+       (function G.Checker.Unstable_source _ -> true | _ -> false)
+       (G.Checker.check_env (ess_n8_trace rounds)))
+
 let decided_round ~round ~decided =
   { (base_round ~round ~senders:[] ~obligated:[] ~timely:[]) with G.Trace.decided }
 
@@ -770,6 +822,10 @@ let () =
           Alcotest.test_case "faulty source ok" `Quick test_checker_ms_faulty_source_ok;
           Alcotest.test_case "es post gst" `Quick test_checker_es_post_gst;
           Alcotest.test_case "ess handover" `Quick test_checker_ess_handover;
+          Alcotest.test_case "ess co-candidate halts" `Quick
+            test_checker_ess_co_candidate_halts;
+          Alcotest.test_case "ess switch while sending" `Quick
+            test_checker_ess_switch_while_sending;
           Alcotest.test_case "consensus" `Quick test_checker_consensus;
           Alcotest.test_case "weak set" `Quick test_checker_weak_set;
           Alcotest.test_case "exact agreement violation" `Quick

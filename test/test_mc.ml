@@ -81,12 +81,51 @@ let test_ws_verified () =
   check_bool "verified" true (r.Mc.verdict = Mc.Verified);
   check_bool "weak-set reduction" true (Mc.reduction_factor r > 1.0)
 
+(* --- edge-case orbits -------------------------------------------------------- *)
+
+(* The counts stepping every plan in full gives: successor keys built from
+   per-receiver projections must merge exactly the same orbits. Each case
+   exercises one input of a receiver's view besides its own deliveries —
+   the ESS stable-source flag, a crasher's scripted partial broadcast, a
+   rejoiner's reset. *)
+let test_ess_stable_source_pinned () =
+  let r =
+    Mc.run (config ~algo:Mc.Ess ~env:(G.Env.Ess { gst = 1 }) ~n:3 ~rounds:3 ())
+  in
+  check_bool "bounded" true (r.Mc.verdict = Mc.Bounded);
+  check_int "raw states" 2458 r.Mc.stats.Explore.raw_states;
+  check_int "canonical states" 1078 r.Mc.stats.Explore.canonical_states
+
+let test_es_one_crash_pinned () =
+  let r = Mc.run (config ~n:3 ~crashes:1 ~rounds:6 ()) in
+  check_bool "verified" true (r.Mc.verdict = Mc.Verified);
+  check_int "schedules" 19 r.Mc.schedules;
+  check_int "raw states" 3145 r.Mc.stats.Explore.raw_states;
+  check_int "canonical states" 626 r.Mc.stats.Explore.canonical_states
+
+let test_churn_rejoin_split_pinned () =
+  let r =
+    Mc.run (config ~n:3 ~env:(G.Env.Es { gst = 5 }) ~rounds:8 ~churn:1 ())
+  in
+  check_bool "violation" true (r.Mc.verdict = Mc.Violation);
+  check_int "raw states" 8586 r.Mc.stats.Explore.raw_states;
+  check_int "canonical states" 2040 r.Mc.stats.Explore.canonical_states;
+  match r.Mc.violation with
+  | Some (_, _, w) ->
+    check_int "found at depth 8" 8 (List.length w.Explore.w_plans);
+    check_bool "agreement split" true
+      (List.exists
+         (function G.Checker.Agreement_violation _ -> true | _ -> false)
+         w.Explore.w_violations)
+  | None -> Alcotest.fail "expected the rejoin split"
+
 (* --- the incremental canonical digest ----------------------------------------- *)
 
-(* Property: after an arbitrary sequence of per-slot edits — refreshed
-   through either the string path or the piecewise stream path, with
-   branches taken via [copy] along the way — the maintained digest equals
-   the from-scratch [full_key] over the current views. *)
+(* Property: after an arbitrary sequence of per-slot edits, with branches
+   taken via [copy] along the way, the maintained digest equals the
+   from-scratch [full_key] over the current views — and so does the key
+   summed from per-view stream hashes, each view fed piecewise in random
+   splits. *)
 let test_digest_incremental_matches_full () =
   let module Canon = Anon_mc.Canon in
   let module Rng = Anon_kernel.Rng in
@@ -96,12 +135,23 @@ let test_digest_incremental_matches_full () =
   let versions = Array.make n 0 in
   let refresh_all d =
     for p = 0 to n - 1 do
-      if Rng.bool rng then
-        Canon.Digest.refresh d ~slot:p ~version:versions.(p) (fun () -> views.(p))
-      else
-        Canon.Digest.refresh_stream d ~slot:p ~version:versions.(p) (fun st ->
-            Canon.Digest.feed_string st views.(p))
+      Canon.Digest.refresh d ~slot:p ~version:versions.(p) (fun () -> views.(p))
     done
+  in
+  let stream_key ~round ~global =
+    let sum1 = ref 0 and sum2 = ref 0 in
+    Array.iter
+      (fun v ->
+        let cut = Rng.int rng (String.length v + 1) in
+        let h1, h2 =
+          Canon.Digest.view_hash (fun st ->
+              Canon.Digest.feed_string st (String.sub v 0 cut);
+              Canon.Digest.feed_string st (String.sub v cut (String.length v - cut)))
+        in
+        sum1 := !sum1 + h1;
+        sum2 := !sum2 + h2)
+      views;
+    Canon.Digest.key_of_sums ~round ~global !sum1 !sum2
   in
   let d = ref (Canon.Digest.create ~n) in
   for step = 1 to 300 do
@@ -113,10 +163,13 @@ let test_digest_incremental_matches_full () =
     if Rng.bool rng then d := Canon.Digest.copy !d;
     refresh_all !d;
     let round = step mod 7 and global = if step mod 3 = 0 then "g" else "" in
+    let full = Canon.Digest.full_key ~round ~global ~views:(Array.to_list views) in
     Alcotest.(check string)
       (Printf.sprintf "digest = full rehash at step %d" step)
-      (Canon.Digest.full_key ~round ~global ~views:(Array.to_list views))
-      (Canon.Digest.key !d ~round ~global)
+      full (Canon.Digest.key !d ~round ~global);
+    Alcotest.(check string)
+      (Printf.sprintf "summed stream hashes = full rehash at step %d" step)
+      full (stream_key ~round ~global)
   done
 
 (* --- bounded verdicts and their witnesses ------------------------------------- *)
@@ -218,6 +271,14 @@ let () =
             test_ws_n3_reduction_pinned;
           Alcotest.test_case "digest: incremental = full rehash" `Quick
             test_digest_incremental_matches_full;
+        ] );
+      ( "edge orbits",
+        [
+          Alcotest.test_case "ESS stable source pinned" `Quick
+            test_ess_stable_source_pinned;
+          Alcotest.test_case "ES one crash pinned" `Quick test_es_one_crash_pinned;
+          Alcotest.test_case "churn-rejoin split pinned" `Quick
+            test_churn_rejoin_split_pinned;
         ] );
       ( "witnesses",
         [

@@ -19,6 +19,7 @@ module Mc_ws = Anon_mc.Ws_sys
 module Ch = Anon_chaos
 
 let check_string = Alcotest.(check string)
+let check_bool = Alcotest.(check bool)
 
 module Es_unguarded_model = struct
   include C.Es_consensus.No_written_old_guard
@@ -31,11 +32,31 @@ end
    random successor until [depth] steps or a terminal node. Returns the
    plans and the snapshots of every node along the path (root included). *)
 let sample_path (module Sys : Anon_mc.Explore.SYSTEM_DEBUG) ~rng ~depth =
-  (* Every node doubles as a digest property check: the incrementally
-     maintained canonical key (per-slot version cache, piecewise-fed hash
-     streams) must equal the from-scratch rehash of the rendered views. *)
-  let check_digest s =
-    check_string "incremental key = full rehash" (Sys.key_full s) (Sys.key s)
+  (* Every node doubles as a key property check: the key the system
+     maintains (cached per-receiver entries, piecewise-fed hash streams)
+     must equal the from-scratch rehash of the rendered views. *)
+  let check_digest what s =
+    check_string (what ^ ": key = full rehash") (Sys.key_full s) (Sys.key s)
+  in
+  (* Every successor of a sampled node, not only the one the walk takes,
+     must agree with the reference expansion that steps each plan in
+     full: same plan, violations, terminal and pending facts, key and
+     snapshot. *)
+  let check_successors ~steps s succs =
+    let full = Sys.expand_full s in
+    Alcotest.(check int) "successor count" (List.length full) (List.length succs);
+    List.iteri
+      (fun i ((plan, s', vs), (plan_r, r, vs_r)) ->
+        let what = Printf.sprintf "depth %d successor %d" (depth - steps + 1) i in
+        check_bool (what ^ ": plan") true (plan = plan_r);
+        check_bool (what ^ ": violations") true (vs = vs_r);
+        check_string (what ^ ": key = stepped key") (Sys.key r) (Sys.key s');
+        check_digest what s';
+        check_digest (what ^ " (stepped)") r;
+        check_bool (what ^ ": terminal") (Sys.terminal r) (Sys.terminal s');
+        Alcotest.(check (list int)) (what ^ ": pending") (Sys.pending r) (Sys.pending s');
+        check_string (what ^ ": snapshot") (Sys.snapshot r) (Sys.snapshot s'))
+      (List.combine succs full)
   in
   let rec go s plans snaps steps =
     if steps = 0 || Sys.terminal s then (List.rev plans, List.rev snaps)
@@ -43,12 +64,12 @@ let sample_path (module Sys : Anon_mc.Explore.SYSTEM_DEBUG) ~rng ~depth =
       match Sys.expand s with
       | [] -> (List.rev plans, List.rev snaps)
       | succs ->
+        check_successors ~steps s succs;
         let plan, s', _ = List.nth succs (K.Rng.int rng (List.length succs)) in
-        check_digest s';
         go s' (plan :: plans) (Sys.snapshot s' :: snaps) (steps - 1)
   in
   let s0 = Sys.init () in
-  check_digest s0;
+  check_digest "root" s0;
   let plans, snaps = go s0 [] [] depth in
   (plans, Sys.snapshot s0 :: snaps)
 
