@@ -202,9 +202,9 @@ let bench_history_snoc =
 let bench_history_prefix_walk =
   let h = K.History.of_list (List.init 200 (fun i -> i mod 5)) in
   let t =
-    K.History.fold_prefixes
-      (fun p acc -> K.Counter_table.set acc p (K.History.length p + 1))
-      h K.Counter_table.empty
+    List.fold_left
+      (fun acc p -> K.Counter_table.set acc p (K.History.length p + 1))
+      K.Counter_table.empty (K.History.prefixes h)
   in
   Test.make ~name:"counter: bump over 200-prefix history"
     (Staged.stage (fun () -> K.Counter_table.bump_prefix_max t h))
@@ -223,14 +223,32 @@ let bench_counter_min_merge =
   Test.make ~name:"counter: min-merge 4 tables x30 entries"
     (Staged.stage (fun () -> K.Counter_table.min_merge tables))
 
-let inbox_of sets = { G.Intf.current = sets; fresh = [] }
+(* Alg. 3 lines 8-9 in the shape a lockstep ESS round has: 4 received
+   messages, each carrying a table of 8 entries (a shared length-4 trunk
+   and the 4 length-5 histories) and one of those histories. *)
+let bench_counter_fused_step =
+  let trunk = [ 3; 1; 4; 1 ] in
+  let histories = List.init 4 (fun i -> K.History.of_list (trunk @ [ i ])) in
+  let keys = List.init 4 (fun n -> K.History.of_list (List.filteri (fun i _ -> i <= n) trunk)) in
+  let mk seed h =
+    let rng = K.Rng.make seed in
+    let t =
+      List.fold_left
+        (fun t k -> K.Counter_table.set t k (1 + K.Rng.int rng 20))
+        K.Counter_table.empty (keys @ histories)
+    in
+    (t, h)
+  in
+  let msgs = List.mapi mk histories in
+  Test.make ~name:"counter: fused step, 4 msgs x8 entries"
+    (Staged.stage (fun () -> K.Counter_table.min_merge_bump ~table:fst ~history:snd msgs))
 
 let bench_es_compute =
   let sets = List.init 16 (fun i -> K.Value.set_of_list [ i; i + 1; 40 ]) in
   Test.make ~name:"es: one compute, 16-message inbox"
     (Staged.stage (fun () ->
          let st, _ = C.Es_consensus.initialize 3 in
-         C.Es_consensus.compute st ~round:2 ~inbox:(inbox_of sets)))
+         C.Es_consensus.compute st ~round:2 ~inbox:sets))
 
 let bench_ess_compute =
   let mk i =
@@ -245,7 +263,7 @@ let bench_ess_compute =
   Test.make ~name:"ess: one compute, 16-message inbox"
     (Staged.stage (fun () ->
          let st, _ = C.Ess_consensus.initialize 3 in
-         C.Ess_consensus.compute st ~round:2 ~inbox:(inbox_of msgs)))
+         C.Ess_consensus.compute st ~round:2 ~inbox:msgs))
 
 (* Macro: one whole run per experiment family. *)
 
@@ -372,6 +390,7 @@ let all_benches =
       bench_history_snoc;
       bench_history_prefix_walk;
       bench_counter_min_merge;
+      bench_counter_fused_step;
       bench_es_compute;
       bench_ess_compute;
       bench_es_run;

@@ -19,7 +19,7 @@ struct
     let st = { seen = Value.Set.singleton v } in
     (st, st.seen)
 
-  let compute st ~round ~inbox:{ Anon_giraf.Intf.current; fresh = _ } =
+  let compute st ~round ~inbox:current =
     let seen = List.fold_left Value.Set.union st.seen current in
     let st = { seen } in
     if round >= P.failures_bound + 1 then

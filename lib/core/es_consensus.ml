@@ -57,7 +57,7 @@ struct
      ("no value is removed from a set PROPOSED in odd rounds", Lemma 2),
      while WRITTENOLD := WRITTEN runs every round (Lemma 2 equates
      WRITTENOLD at even round k with WRITTEN at round k-1). *)
-  let compute st ~round ~inbox:{ Anon_giraf.Intf.current; fresh = _ } =
+  let compute st ~round ~inbox:current =
     let written = intersect_all current in
     let proposed = Value.Set.union (union_all current) st.proposed in
     let st = { st with written; proposed } in

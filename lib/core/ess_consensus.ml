@@ -93,34 +93,36 @@ module Impl (P : PARAMS) = struct
   let union_proposed ms =
     List.fold_left (fun acc m -> Pvalue.Set.union acc m.m_proposed) Pvalue.Set.empty ms
 
-  (* Line 8. The paper merges with pointwise [min] (default 0): a history's
-     counter is only as high as the slowest table that travelled this
-     round. [`Max] is ablation A3. *)
+  (* Lines 8-9. The paper merges with pointwise [min] (default 0): a
+     history's counter is only as high as the slowest table that travelled
+     this round. Then every received history's counter becomes one more
+     than the best counter among its prefixes. [`Max] is ablation A3. *)
   let merge_counters ms =
-    let tables = List.map (fun m -> m.m_counters) ms in
     match P.merge with
-    | `Min -> Counter_table.min_merge tables
+    | `Min ->
+      Counter_table.min_merge_bump
+        ~table:(fun m -> m.m_counters)
+        ~history:(fun m -> m.m_history)
+        ms
     | `Max ->
-      List.fold_left
-        (fun acc t ->
-          List.fold_left
-            (fun acc (h, c) -> if c > Counter_table.get acc h then Counter_table.set acc h c else acc)
-            acc (Counter_table.bindings t))
-        Counter_table.empty tables
+      let merged =
+        List.fold_left
+          (fun acc m ->
+            List.fold_left
+              (fun acc (h, c) ->
+                if c > Counter_table.get acc h then Counter_table.set acc h c else acc)
+              acc
+              (Counter_table.bindings m.m_counters))
+          Counter_table.empty ms
+      in
+      List.fold_left (fun c m -> Counter_table.bump_prefix_max c m.m_history) merged ms
 
   let is_leader_in counters history = Counter_table.is_max counters history
 
-  let compute st ~round ~inbox:{ Anon_giraf.Intf.current; fresh = _ } =
+  let compute st ~round ~inbox:current =
     let written = intersect_proposed current in
     let proposed = Pvalue.Set.union (union_proposed current) st.proposed in
     let counters = merge_counters current in
-    (* Line 9: bump the counter of every received history to one more than
-       the best counter among its prefixes. *)
-    let counters =
-      List.fold_left
-        (fun c m -> Counter_table.bump_prefix_max c m.m_history)
-        counters current
-    in
     let st = { st with written; proposed; counters } in
     (* As in Alg. 2, WRITTENOLD := WRITTEN runs every round (the agreement
        proof of Thm. 2 "compares Lemma 2", which needs WRITTENOLD at an

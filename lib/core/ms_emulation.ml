@@ -132,12 +132,12 @@ module Make (A : Giraf.Intf.ALGORITHM) = struct
               Some m
             end
             else begin
-              let fresh = Giraf.Mailbox.drain proc.mailbox ~upto:(next - 1) in
+              let (_ : (int * A.msg) list) =
+                Giraf.Mailbox.drain proc.mailbox ~upto:(next - 1)
+              in
               let current = Giraf.Mailbox.current proc.mailbox ~round:(next - 1) in
               let st = match proc.st with Some st -> st | None -> assert false in
-              let st', m, dec =
-                A.compute st ~round:(next - 1) ~inbox:{ Giraf.Intf.current; fresh }
-              in
+              let st', m, dec = A.compute st ~round:(next - 1) ~inbox:current in
               proc.st <- Some st';
               push computed (next - 1) proc.pid;
               match dec with

@@ -51,3 +51,31 @@ let ready_inbox ~compare ~round inflight =
   let current = uniq_current ready in
   let fresh = List.map (fun (_, sent, m) -> (sent, m)) ready in
   (current, fresh, rest)
+
+(* The consensus reading of the same line: only [M_i[round]] is wanted,
+   so the ready late arrivals are dropped unsorted and only the entries
+   sent for [round] are sorted. Those are ready exactly when they arrived
+   at [round]. They keep their in-flight order into the (stable) sort,
+   and the last of each run of equal messages survives, so the result is
+   [ready_inbox]'s to the message. *)
+let rec all_ready (round : int) = function
+  | [] -> true
+  | (a, _, _) :: tl -> a <= round && all_ready round tl
+
+let rec sent_at (round : int) = function
+  | [] -> []
+  | (a, s, m) :: tl -> if s = round && a <= round then m :: sent_at round tl else sent_at round tl
+
+let rec uniq_last compare = function
+  | m :: (m' :: _ as tl) ->
+    if m == m' || compare m m' = 0 then uniq_last compare tl else m :: uniq_last compare tl
+  | l -> l
+
+let ready_current ~compare ~round inflight =
+  let rest =
+    if all_ready round inflight then [] else List.filter (fun (a, _, _) -> a > round) inflight
+  in
+  let sorted =
+    List.stable_sort (fun m1 m2 -> if m1 == m2 then 0 else compare m1 m2) (sent_at round inflight)
+  in
+  (uniq_last compare sorted, rest)

@@ -15,9 +15,10 @@
     What the backends must agree on {e exactly} — and what this module
     therefore owns — is the mailbox semantics of Alg. 1: how a process's
     undrained arrivals become the inbox of its next [compute]. Keeping
-    {!ready_inbox} here and nowhere else is what makes the zero-fault
-    live-vs-lockstep differential suite an equality of decisions rather
-    than a family resemblance. *)
+    {!ready_inbox} and its consensus reading {!ready_current} here and
+    nowhere else is what makes the zero-fault live-vs-lockstep
+    differential suite an equality of decisions rather than a family
+    resemblance. *)
 
 type kind = Lockstep | Live
 
@@ -43,3 +44,13 @@ val ready_inbox :
     remainder [rest]. The caller guarantees the process's own round-
     [round] message is among the arrivals (self-delivery is implicit and
     always timely). *)
+
+val ready_current :
+  compare:('msg -> 'msg -> int) ->
+  round:int ->
+  'msg arrival list ->
+  'msg list * 'msg arrival list
+(** [ready_current ~compare ~round inflight] is [(current, rest)] of
+    {!ready_inbox}, exactly, without building [fresh]: the inbox of a
+    consensus {!Intf.ALGORITHM}. Ready late arrivals are dropped unsorted;
+    [rest] keeps its in-flight order. *)

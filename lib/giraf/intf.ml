@@ -23,6 +23,9 @@ type 'msg inbox = {
           round-[k] message. Needed by algorithms that read
           [M_i\[k'\], 1 ≤ k' ≤ k_i] (Alg. 4 line 15). *)
 }
+(** What a {!SERVICE} sees at [compute]. A consensus {!ALGORITHM} reads
+    only [M_i\[k\]], so it is handed that set alone and its backends never
+    assemble [fresh]. *)
 
 (** Consensus-style automaton: proposes a value at initialization and may
     decide (and halt) during a [compute]. *)
@@ -53,10 +56,14 @@ module type ALGORITHM = sig
       proposal is [v]; returns the round-1 message. *)
 
   val compute :
-    state -> round:int -> inbox:msg inbox -> state * msg * Anon_kernel.Value.t option
-  (** [compute st ~round ~inbox] is Alg. 1 line 9 for round [round];
-      returns the next state, the round-[round+1] message, and [Some v] if
-      the process decides [v] now. A deciding process halts: the returned
+    state -> round:int -> inbox:msg list -> state * msg * Anon_kernel.Value.t option
+  (** [compute st ~round ~inbox] is Alg. 1 line 9 for round [round], where
+      [inbox] is the round-[round] message set [M_i\[round\]]: deduplicated,
+      sorted by [msg_compare], and always containing the process's own
+      round-[round] message (Alg. 1 line 10). Late messages for earlier
+      rounds are never shown: Alg. 2 and Alg. 3 do not read them. Returns
+      the next state, the round-[round+1] message, and [Some v] if the
+      process decides [v] now. A deciding process halts: the returned
       message is {e not} broadcast and the process takes no further steps
       ("decide VAL; halt"). *)
 end

@@ -13,8 +13,8 @@
     Restrictions, argued in DESIGN.md §10:
     - Late arrivals range over [round + 1 .. round + max_delay]. For the
       consensus algorithms (Alg. 2/3) this is WLOG at [max_delay = 1]:
-      their [compute] reads only the timely inbox ([current]), so a late
-      message is never read no matter how late it is.
+      their [compute] is handed only the timely round-[k] set [M_i\[k\]],
+      so a late message is never read no matter how late it is.
     - Under ESS from [gst] on, non-source senders never cover the whole
       obligated set, so the checker's stable-source candidate set stays the
       singleton chosen source. The excluded patterns (a non-source sender

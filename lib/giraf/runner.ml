@@ -209,7 +209,7 @@ module Make (A : Intf.ALGORITHM) = struct
                 timely = stats.timely_count;
               })
       end;
-      if config.stop_on_decision && Core.undecided_correct_stayers core = [] then
+      if config.stop_on_decision && Core.correct_stayers_decided core then
         continue := false;
       incr round
     done;
@@ -223,7 +223,7 @@ module Make (A : Intf.ALGORITHM) = struct
         rounds = List.rev !rounds;
       }
     in
-    let all_correct_decided = Core.undecided_correct_stayers core = [] in
+    let all_correct_decided = Core.correct_stayers_decided core in
     let rounds_executed = min (!round - 1) config.horizon in
     if obs_on then begin
       M.set_gauge m_rounds (float_of_int rounds_executed);

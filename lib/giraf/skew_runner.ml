@@ -59,7 +59,6 @@ module Make (A : Intf.ALGORITHM) = struct
     mutable stopped : bool;  (* halted, crashed, or past max_rounds *)
     mutable halted : bool;  (* decided *)
     rounds_msgs : (int, A.msg list) Hashtbl.t;  (* M_i[k], deduped+sorted *)
-    mutable fresh : (int * A.msg) list;  (* arrivals since last compute, reversed *)
     mutable next_fire : int;
     compute_log : (int, A.msg list) Hashtbl.t;  (* round -> current at compute *)
   }
@@ -106,7 +105,6 @@ module Make (A : Intf.ALGORITHM) = struct
             stopped = false;
             halted = false;
             rounds_msgs = Hashtbl.create 64;
-            fresh = [];
             next_fire = 0;
             compute_log = Hashtbl.create 64;
           })
@@ -145,11 +143,9 @@ module Make (A : Intf.ALGORITHM) = struct
                 else begin
                   let current = current_of proc (next - 1) in
                   Hashtbl.replace proc.compute_log (next - 1) current;
-                  let fresh = List.rev proc.fresh in
-                  proc.fresh <- [];
                   let st = match proc.st with Some st -> st | None -> assert false in
                   let st', m, dec =
-                    A.compute st ~round:(next - 1) ~inbox:{ Intf.current; fresh }
+                    A.compute st ~round:(next - 1) ~inbox:current
                   in
                   proc.st <- Some st';
                   match dec with
@@ -170,7 +166,6 @@ module Make (A : Intf.ALGORITHM) = struct
           | Some m ->
             proc.round <- next;
             ignore (insert proc ~k:next m);
-            proc.fresh <- (next, m) :: proc.fresh;
             Hashtbl.replace sent_msgs (proc.pid, next) m;
             incr messages_broadcast;
             if obs_on then begin
@@ -232,10 +227,9 @@ module Make (A : Intf.ALGORITHM) = struct
               List.iter
                 (fun m ->
                   if insert proc ~k m then begin
-                    proc.fresh <- (k, m) :: proc.fresh;
                     M.incr m_deliveries;
-                    (* Arrival round: the first round whose compute sees
-                       this message as fresh (the relay carries round-k
+                    (* Arrival round: the first round whose compute comes
+                       after this delivery (the relay carries round-k
                        sets, so [s] may not be the original sender of
                        every copy — it is the flow edge's source). *)
                     R.emit recorder (fun () ->

@@ -13,10 +13,11 @@ type workload = (int * (int * op_spec) list) list
    the automata differ — consensus processes halt on decision, services
    run a client-operation phase instead. *)
 
-(* Inbox assembly is owned by the backend seam ({!Backend.ready_inbox}):
-   the live backend must consume arrivals with byte-identical semantics,
-   so the one implementation lives there and both backends call it. *)
-let ready_inbox = Backend.ready_inbox
+(* Inbox assembly is owned by the backend seam ({!Backend}): the live
+   backend must consume arrivals with byte-identical semantics, so the
+   one implementation lives there and both backends call it. Consensus
+   processes read only [M_i[k]] ({!Backend.ready_current}); services also
+   get the late arrivals ({!Backend.ready_inbox}). *)
 
 module Consensus (A : Intf.ALGORITHM) = struct
   type t = {
@@ -146,13 +147,11 @@ module Consensus (A : Intf.ALGORITHM) = struct
           t.out.(p) <- Some m;
           rev_out := { Dispatch.sender = p; msg = m } :: !rev_out
         | Some st -> (
-          let current, fresh, rest =
-            ready_inbox ~compare:A.msg_compare ~round:(k - 1) t.inflight.(p)
+          let current, rest =
+            Backend.ready_current ~compare:A.msg_compare ~round:(k - 1) t.inflight.(p)
           in
           t.inflight.(p) <- rest;
-          let st', m, dec =
-            A.compute st ~round:(k - 1) ~inbox:{ Intf.current; fresh }
-          in
+          let st', m, dec = A.compute st ~round:(k - 1) ~inbox:current in
           t.st.(p) <- Some st';
           match dec with
           | None ->
@@ -228,6 +227,12 @@ module Consensus (A : Intf.ALGORITHM) = struct
 
   let undecided_correct_stayers t =
     List.filter (fun p -> t.fate.(p) <> Halted) t.correct_stayers
+
+  let rec all_halted fate = function
+    | [] -> true
+    | p :: tl -> fate.(p) = Halted && all_halted fate tl
+
+  let correct_stayers_decided t = all_halted t.fate t.correct_stayers
 end
 
 module Service (S : Intf.SERVICE) = struct
@@ -355,7 +360,7 @@ module Service (S : Intf.SERVICE) = struct
           rev_out := { Dispatch.sender = p; msg = m } :: !rev_out
         | Some st ->
           let current, fresh, rest =
-            ready_inbox ~compare:S.msg_compare ~round:(k - 1) t.inflight.(p)
+            Backend.ready_inbox ~compare:S.msg_compare ~round:(k - 1) t.inflight.(p)
           in
           t.inflight.(p) <- rest;
           let st', m = S.compute st ~round:(k - 1) ~inbox:{ Intf.current; fresh } in

@@ -9,8 +9,10 @@
       events are latched against the fates as they stand;
     - {b compute}: iteration [k] consumes every arrival [<= k-1] and runs
       [compute] on round [k-1]'s mailbox (or [initialize] when the process
-      has no state), producing the round-[k] broadcast; consensus deciders
-      halt and send nothing;
+      has no state), producing the round-[k] broadcast; a consensus
+      process is shown only [M_i\[k-1\]] ({!Backend.ready_current}), a
+      service also its late arrivals ({!Backend.ready_inbox}); consensus
+      deciders halt and send nothing;
     - {b deliver}: the round-[k] messages are dispatched under the
       adversary plan ({!Dispatch} semantics: arrivals clamped to [>= k],
       receivers must be live, a plan entry pins a [Broadcast_subset]
@@ -120,6 +122,10 @@ module Consensus (A : Intf.ALGORITHM) : sig
   val undecided_correct_stayers : t -> int list
   (** Liveness is owed to correct stayers only: a churner may rejoin after
       everyone halted and run alone forever. *)
+
+  val correct_stayers_decided : t -> bool
+  (** [undecided_correct_stayers t = \[\]], without allocating: the
+      per-round stop test of the runners. *)
 
   val mailbox_pending : t -> int -> int
 end

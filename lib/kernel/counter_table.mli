@@ -10,7 +10,12 @@
     - line 9: [C\[m.HISTORY\] := 1 + max {C\[H\] | H prefix of m.HISTORY}].
 
     Tables travel inside messages, so they support structural comparison for
-    message-set deduplication. *)
+    message-set deduplication.
+
+    A table is an immutable array of its non-zero entries sorted by history
+    id, with its largest counter cached: [get] is a binary search and
+    [is_max] one lookup. {!min_merge_bump} runs both lines of a round in a
+    domain-local scratch buffer and allocates only the resulting table. *)
 
 type t
 
@@ -31,6 +36,15 @@ val bump_prefix_max : t -> History.t -> t
 (** Alg. 3 line 9: [C\[h\] := 1 + max {C\[H\] | H prefix of h}] (the max is
     at least 0, over the default). *)
 
+val min_merge_bump : table:('m -> t) -> history:('m -> History.t) -> 'm list -> t
+(** Alg. 3 lines 8–9 over one round's received messages [ms]: equal,
+    binding for binding, to
+    [List.fold_left bump_prefix_max (min_merge (List.map table ms))
+    (List.map history ms)], so the bumps follow [ms]'s order. Counts one
+    [min_merge] and [List.length ms] prefix bumps. [min_merge_bump \[\]]
+    is [empty]. [table] and [history] are plain projections: they must
+    not call back into this module, whose scratch buffer is in use. *)
+
 val is_max : t -> History.t -> bool
 (** Alg. 3 leader test: [∀H, C\[h\] ≥ C\[H\]] — whether [h]'s counter ties
     the table's maximum (trivially true on an all-zero table). *)
@@ -41,14 +55,22 @@ val max_binding : t -> (History.t * int) option
     deterministic. *)
 
 val min_merge_ops : unit -> int
-(** Domain-local count of [min_merge] calls. Monotone within a domain;
-    observability samples it before/after a run for deltas. *)
+(** Domain-local count of line-8 merges ([min_merge] and
+    [min_merge_bump] calls). Monotone within a domain; observability
+    samples it before/after a run for deltas. *)
 
 val prefix_bump_ops : unit -> int
-(** Domain-local count of [bump_prefix_max] calls. *)
+(** Domain-local count of line-9 bumps ([bump_prefix_max] calls, and one
+    per message of [min_merge_bump]). *)
 
 val bindings : t -> (History.t * int) list
+(** Entries in ascending history-id order. *)
+
 val cardinal : t -> int
+
 val compare : t -> t -> int
+(** Lexicographic over {!bindings} (history id, then count); a proper
+    prefix sorts first. *)
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -27,7 +27,10 @@ type interner = {
   mutable misses : int;
 }
 
-let fresh_interner () = { table = Table.create 4096; next_id = 1; hits = 0; misses = 0 }
+(* A pool task interns a few hundred histories at most, so the table
+   starts small and lets [Hashtbl] grow it: a 4096-bucket start was a
+   32 KB major-heap block per task. *)
+let fresh_interner () = { table = Table.create 16; next_id = 1; hits = 0; misses = 0 }
 
 let interner_key : interner Domain.DLS.key = Domain.DLS.new_key fresh_interner
 
@@ -80,8 +83,6 @@ let prefixes h =
     match h.node with Root -> h :: acc | Snoc (p, _) -> go (h :: acc) p
   in
   go [] h
-
-let fold_prefixes f h init = List.fold_left (fun acc p -> f p acc) init (prefixes h)
 
 let pp ppf h =
   Format.fprintf ppf "⟨@[%a@]⟩"

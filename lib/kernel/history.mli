@@ -13,7 +13,13 @@
     different {!with_fresh_interner} extents) must not be compared with
     {!equal}/{!compare} — ids are only unique within one scope. *)
 
-type t
+type t = private { id : int; len : int; node : node }
+(** Read-only so that hot loops ({!Counter_table}) read ids and parent
+    links without a call. [id] is unique within one interner scope and
+    larger than the id of every proper prefix (a history is interned
+    after its parent); [id empty = 0]. *)
+
+and node = private Root | Snoc of t * Value.t
 
 val empty : t
 (** The empty history (the root of the intern trie). *)
@@ -25,6 +31,7 @@ val of_list : Value.t list -> t
 val to_list : t -> Value.t list
 
 val length : t -> int
+
 val last : t -> Value.t option
 (** Last appended value; [None] on [empty]. *)
 
@@ -46,10 +53,6 @@ val is_prefix : prefix:t -> t -> bool
 val prefixes : t -> t list
 (** All prefixes of [h] from [empty] up to and including [h] itself,
     shortest first. Length [length h + 1]. *)
-
-val fold_prefixes : (t -> 'a -> 'a) -> t -> 'a -> 'a
-(** [fold_prefixes f h init] folds [f] over every prefix of [h] (including
-    [empty] and [h]), shortest first. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints as [⟨v1·v2·…⟩]. *)

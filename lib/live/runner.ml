@@ -222,13 +222,11 @@ module Make (A : Anon_giraf.Intf.ALGORITHM) = struct
             st := Some s;
             Some m
           | Some s -> (
-            let current, fresh, rest =
-              Backend.ready_inbox ~compare:A.msg_compare ~round:(kk - 1) !inflight
+            let current, rest =
+              Backend.ready_current ~compare:A.msg_compare ~round:(kk - 1) !inflight
             in
             inflight := rest;
-            let s', m, dec =
-              A.compute s ~round:(kk - 1) ~inbox:{ Anon_giraf.Intf.current; fresh }
-            in
+            let s', m, dec = A.compute s ~round:(kk - 1) ~inbox:current in
             st := Some s';
             match dec with
             | Some v ->

@@ -302,7 +302,7 @@ module Make (A : G.Intf.ALGORITHM) = struct
       inflight :=
         List.filter
           (fun inst ->
-            if Core.undecided_correct_stayers inst.core = [] then begin
+            if Core.correct_stayers_decided inst.core then begin
               close ~gr ~done_:true inst;
               false
             end

@@ -12,8 +12,6 @@ let check_bool = Alcotest.(check bool)
 
 let vset = Value.set_of_list
 
-let inbox current = { G.Intf.current; fresh = [] }
-
 (* --- unit-level compute ------------------------------------------------------ *)
 
 let test_initialize () =
@@ -25,7 +23,7 @@ let test_initialize () =
 let test_compute_written_intersection () =
   let st, _ = C.Es_consensus.initialize 7 in
   let st, _, dec =
-    C.Es_consensus.compute st ~round:1 ~inbox:(inbox [ vset [ 1; 2 ]; vset [ 2; 3 ] ])
+    C.Es_consensus.compute st ~round:1 ~inbox:[ vset [ 1; 2 ]; vset [ 2; 3 ] ]
   in
   check_bool "no decision in odd round" true (dec = None);
   Alcotest.(check (list int)) "WRITTEN = intersection" [ 2 ]
@@ -35,9 +33,9 @@ let test_compute_written_intersection () =
 
 let test_compute_even_adopts_max_written () =
   let st, _ = C.Es_consensus.initialize 1 in
-  let st, _, _ = C.Es_consensus.compute st ~round:1 ~inbox:(inbox [ vset [ 5; 9 ] ]) in
+  let st, _, _ = C.Es_consensus.compute st ~round:1 ~inbox:[ vset [ 5; 9 ] ] in
   let st, m, dec =
-    C.Es_consensus.compute st ~round:2 ~inbox:(inbox [ vset [ 5; 9 ] ])
+    C.Es_consensus.compute st ~round:2 ~inbox:[ vset [ 5; 9 ] ]
   in
   check_bool "no decision yet" true (dec = None);
   check_int "VAL := max(WRITTEN)" 9 (C.Es_consensus.current_val st);
@@ -47,7 +45,7 @@ let test_compute_decides () =
   (* Drive one process with constant {4} inboxes: round 1 sets
      WRITTENOLD = {4}, and the guard fires at the first even round. *)
   let st, _ = C.Es_consensus.initialize 4 in
-  let feed st round = C.Es_consensus.compute st ~round ~inbox:(inbox [ vset [ 4 ] ]) in
+  let feed st round = C.Es_consensus.compute st ~round ~inbox:[ vset [ 4 ] ] in
   let st, _, d1 = feed st 1 in
   let _, _, d2 = feed st 2 in
   check_bool "no decision in the odd round" true (d1 = None);
@@ -55,8 +53,8 @@ let test_compute_decides () =
 
 let test_no_decision_while_written_old_differs () =
   let st, _ = C.Es_consensus.initialize 4 in
-  let st, _, _ = C.Es_consensus.compute st ~round:1 ~inbox:(inbox [ vset [ 4; 5 ] ]) in
-  let _, _, dec = C.Es_consensus.compute st ~round:2 ~inbox:(inbox [ vset [ 4 ] ]) in
+  let st, _, _ = C.Es_consensus.compute st ~round:1 ~inbox:[ vset [ 4; 5 ] ] in
+  let _, _, dec = C.Es_consensus.compute st ~round:2 ~inbox:[ vset [ 4 ] ] in
   check_bool "guard blocked by WRITTENOLD" true (dec = None)
 
 (* --- exact replay under full synchrony --------------------------------------- *)

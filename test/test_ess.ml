@@ -21,8 +21,6 @@ let msg ?(proposed = []) ?(history = []) ?(counters = []) () =
         Counter_table.empty counters;
   }
 
-let inbox current = { G.Intf.current; fresh = [] }
-
 (* --- unit-level compute -------------------------------------------------------- *)
 
 let test_initialize () =
@@ -34,7 +32,7 @@ let test_initialize () =
 
 let test_compute_history_grows () =
   let st, _ = Ess.initialize 7 in
-  let st, m, _ = Ess.compute st ~round:1 ~inbox:(inbox [ msg ~history:[ 7 ] () ]) in
+  let st, m, _ = Ess.compute st ~round:1 ~inbox:[ msg ~history:[ 7 ] () ] in
   Alcotest.(check (list int)) "appended VAL" [ 7; 7 ] (History.to_list (Ess.history st));
   Alcotest.(check (list int)) "message carries the new history" [ 7; 7 ]
     (History.to_list m.Ess.m_history)
@@ -43,7 +41,7 @@ let test_compute_counter_bump () =
   let st, _ = Ess.initialize 7 in
   let other = msg ~history:[ 3 ] () in
   let own = msg ~history:[ 7 ] () in
-  let st, _, _ = Ess.compute st ~round:1 ~inbox:(inbox [ own; other ]) in
+  let st, _, _ = Ess.compute st ~round:1 ~inbox:[ own; other ] in
   let c = Ess.counters st in
   check_int "own history bumped" 1 (Counter_table.get c (History.of_list [ 7 ]));
   check_int "other history bumped" 1 (Counter_table.get c (History.of_list [ 3 ]))
@@ -54,15 +52,15 @@ let test_compute_min_merge_drags_down () =
      all: the min-merge drops it to 0 before the bump re-adds 1. *)
   let rich = msg ~history:[ 7 ] ~counters:[ ([ 3 ], 5) ] () in
   let poor = msg ~history:[ 3 ] () in
-  let st, _, _ = Ess.compute st ~round:1 ~inbox:(inbox [ rich; poor ]) in
+  let st, _, _ = Ess.compute st ~round:1 ~inbox:[ rich; poor ] in
   check_int "min-merged then bumped" 1
     (Counter_table.get (Ess.counters st) (History.of_list [ 3 ]))
 
 let test_compute_adopts_max_written () =
   let st, _ = Ess.initialize 1 in
   let m1 = msg ~proposed:[ Pvalue.v 5; Pvalue.v 9; Pvalue.bot ] ~history:[ 5 ] () in
-  let st, _, _ = Ess.compute st ~round:1 ~inbox:(inbox [ m1 ]) in
-  let st, _, _ = Ess.compute st ~round:2 ~inbox:(inbox [ m1 ]) in
+  let st, _, _ = Ess.compute st ~round:1 ~inbox:[ m1 ] in
+  let st, _, _ = Ess.compute st ~round:2 ~inbox:[ m1 ] in
   check_int "VAL := max(WRITTEN minus bot)" 9 (Ess.current_val st)
 
 let test_non_leader_proposes_bot () =
@@ -72,8 +70,8 @@ let test_non_leader_proposes_bot () =
   let dominant =
     msg ~proposed:[ Pvalue.v 9; Pvalue.v 5 ] ~history:[ 3; 3 ] ~counters:[ ([ 3 ], 8); ([ 3; 3 ], 9) ] ()
   in
-  let st, m, _ = Ess.compute st ~round:1 ~inbox:(inbox [ dominant ]) in
-  let st, m2, _ = Ess.compute st ~round:2 ~inbox:(inbox [ dominant; m ]) in
+  let st, m, _ = Ess.compute st ~round:1 ~inbox:[ dominant ] in
+  let st, m2, _ = Ess.compute st ~round:2 ~inbox:[ dominant; m ] in
   check_bool "not a leader" false (Ess.is_leader st);
   check_bool "proposes bot" true
     (Pvalue.Set.equal m2.Ess.m_proposed (Pvalue.Set.singleton Pvalue.bot))
@@ -81,10 +79,10 @@ let test_non_leader_proposes_bot () =
 let test_decide_guard () =
   let st, _ = Ess.initialize 4 in
   let only4 = msg ~proposed:[ Pvalue.v 4 ] ~history:[ 4 ] () in
-  let st, _, d1 = Ess.compute st ~round:1 ~inbox:(inbox [ only4 ]) in
+  let st, _, d1 = Ess.compute st ~round:1 ~inbox:[ only4 ] in
   let _, _, d2 =
     Ess.compute st ~round:2
-      ~inbox:(inbox [ msg ~proposed:[ Pvalue.v 4; Pvalue.bot ] ~history:[ 4; 4 ] () ])
+      ~inbox:[ msg ~proposed:[ Pvalue.v 4; Pvalue.bot ] ~history:[ 4; 4 ] () ]
   in
   check_bool "odd round no decision" true (d1 = None);
   Alcotest.(check (option int)) "decides despite bot in PROPOSED" (Some 4) d2

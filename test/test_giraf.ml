@@ -177,6 +177,40 @@ let test_adversary_blocking_alternates () =
   Alcotest.(check (option int)) "odd source" (Some 0) (src 1);
   Alcotest.(check (option int)) "even source" (Some 1) (src 2)
 
+(* --- Backend: the two readings of Alg. 1 line 10 -------------------------- *)
+
+(* Messages are (key, tag) pairs ordered by key only, so equal messages
+   stay distinguishable and the property also pins which duplicate
+   survives. Arrivals never precede sends; some entries are late (sent
+   before the round) and some still pending (arriving after it). *)
+let prop_ready_current_matches_inbox =
+  let entry round =
+    QCheck.Gen.(
+      int_range (max 1 (round - 3)) (round + 1) >>= fun sent ->
+      int_range sent (sent + 3) >>= fun arrival ->
+      int_bound 3 >>= fun key ->
+      int_bound 1_000 >|= fun tag -> (arrival, sent, (key, tag)))
+  in
+  let gen =
+    QCheck.Gen.(
+      int_range 1 6 >>= fun round ->
+      list_size (int_bound 12) (entry round) >>= fun entries ->
+      (* Duplicate some entries outright: one broadcast can reach a
+         receiver twice. *)
+      bool >|= fun dup -> (round, if dup then entries @ entries else entries))
+  in
+  let print (round, entries) =
+    Printf.sprintf "round %d: %s" round
+      (String.concat "; "
+         (List.map (fun (a, s, (k, t)) -> Printf.sprintf "%d@%d=%d/%d" s a k t) entries))
+  in
+  QCheck.Test.make ~name:"ready_current = (current, rest) of ready_inbox" ~count:500
+    (QCheck.make ~print gen)
+    (fun (round, inflight) ->
+      let compare (k1, _) (k2, _) = Int.compare k1 k2 in
+      let current, _, rest = G.Backend.ready_inbox ~compare ~round inflight in
+      G.Backend.ready_current ~compare ~round inflight = (current, rest))
+
 (* --- Runner: a probe algorithm that records its inboxes --------------------- *)
 
 module Probe = struct
@@ -192,7 +226,7 @@ module Probe = struct
   let initialize v = ({ me = v; log = [] }, v)
 
   (* Decide own value at round 4; the message is always the input value. *)
-  let compute st ~round ~inbox:{ G.Intf.current; fresh = _ } =
+  let compute st ~round ~inbox:current =
     let st = { st with log = (round, current) :: st.log } in
     if round = 4 then (st, st.me, Some st.me) else (st, st.me, None)
 end
@@ -797,6 +831,7 @@ let () =
           Alcotest.test_case "blocking alternates" `Quick
             test_adversary_blocking_alternates;
         ] );
+      ("backend", [ qc prop_ready_current_matches_inbox ]);
       ( "runner",
         [
           Alcotest.test_case "rounds and decisions" `Quick

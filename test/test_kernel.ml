@@ -176,6 +176,17 @@ let prop_history_prefix_model =
       History.is_prefix ~prefix:(History.of_list a) (History.of_list b)
       = list_prefix a b)
 
+(* [Counter_table]'s prefix walk relies on this. *)
+let prop_history_prefix_ids_ascend =
+  QCheck.Test.make ~name:"a proper prefix has a smaller id" ~count:300
+    QCheck.(small_list small_int)
+    (fun vs ->
+      let rec ascending = function
+        | a :: (b :: _ as tl) -> a.History.id < b.History.id && ascending tl
+        | [ _ ] | [] -> true
+      in
+      ascending (History.prefixes (History.of_list vs)))
+
 let prop_history_lexicographic =
   QCheck.Test.make ~name:"compare_lexicographic matches list compare" ~count:300
     QCheck.(pair (small_list small_int) (small_list small_int))
@@ -257,6 +268,111 @@ let prop_ct_min_merge_model =
           in
           Counter_table.get merged h = expected)
         [ 0; 1; 2; 3 ])
+
+(* Random tables over a small tree of histories (values 0..2, length at
+   most 4), so keys share prefixes, checked against a reference built on
+   [History.Map]. *)
+module Ref = struct
+  let of_assignments kvs =
+    List.fold_left
+      (fun m (h, c) -> if c <= 0 then History.Map.remove h m else History.Map.add h c m)
+      History.Map.empty kvs
+
+  let get m h = Option.value ~default:0 (History.Map.find_opt h m)
+
+  let min_merge = function
+    | [] -> History.Map.empty
+    | m0 :: ms ->
+      List.fold_left
+        (fun acc m ->
+          History.Map.filter_map
+            (fun h c -> Option.map (min c) (History.Map.find_opt h m))
+            acc)
+        m0 ms
+
+  let bump m h =
+    let best = List.fold_left (fun acc p -> max acc (get m p)) 0 (History.prefixes h) in
+    History.Map.add h (best + 1) m
+
+  let table_max m = History.Map.fold (fun _ c acc -> max acc c) m 0
+
+  let max_binding m =
+    History.Map.fold
+      (fun h c best ->
+        match best with
+        | Some (h', c') when c < c' || (c = c' && History.compare_lexicographic h h' >= 0) ->
+          best
+        | Some _ | None -> Some (h, c))
+      m None
+end
+
+let gen_history = QCheck.Gen.(map History.of_list (list_size (int_bound 4) (int_bound 2)))
+
+let gen_assignments =
+  QCheck.Gen.(list_size (int_bound 8) (pair gen_history (int_range 0 6)))
+
+let table_of kvs =
+  List.fold_left (fun t (h, c) -> Counter_table.set t h c) Counter_table.empty kvs
+
+let pp_assignments kvs =
+  String.concat "; "
+    (List.map (fun (h, c) -> Format.asprintf "%a=%d" History.pp h c) kvs)
+
+let same_bindings a b =
+  List.equal (fun (h, c) (h', c') -> History.equal h h' && c = c') a b
+
+let prop_ct_fused_step =
+  QCheck.Test.make ~name:"fused step = merge then bumps"
+    ~count:500
+    (QCheck.make
+       ~print:(fun ms ->
+         String.concat " | "
+           (List.map (fun (kvs, h) -> Format.asprintf "[%s] %a" (pp_assignments kvs) History.pp h) ms))
+       QCheck.Gen.(list_size (int_bound 5) (pair gen_assignments gen_history)))
+    (fun msgs ->
+      let msgs' = List.map (fun (kvs, h) -> (table_of kvs, h)) msgs in
+      let merges0 = Counter_table.min_merge_ops ()
+      and bumps0 = Counter_table.prefix_bump_ops () in
+      let fused = Counter_table.min_merge_bump ~table:fst ~history:snd msgs' in
+      let counted =
+        Counter_table.min_merge_ops () - merges0 = 1
+        && Counter_table.prefix_bump_ops () - bumps0 = List.length msgs
+      in
+      let stepwise =
+        List.fold_left Counter_table.bump_prefix_max
+          (Counter_table.min_merge (List.map fst msgs'))
+          (List.map snd msgs')
+      in
+      let reference =
+        List.fold_left Ref.bump
+          (Ref.min_merge (List.map (fun (kvs, _) -> Ref.of_assignments kvs) msgs))
+          (List.map snd msgs)
+      in
+      counted
+      && same_bindings (Counter_table.bindings fused) (Counter_table.bindings stepwise)
+      && same_bindings (Counter_table.bindings fused) (History.Map.bindings reference))
+
+let prop_ct_queries_model =
+  QCheck.Test.make ~name:"queries = Map reference" ~count:500
+    (QCheck.make
+       ~print:(fun (a, b, h) ->
+         Format.asprintf "[%s] [%s] %a" (pp_assignments a) (pp_assignments b) History.pp h)
+       QCheck.Gen.(triple gen_assignments gen_assignments gen_history))
+    (fun (a, b, h) ->
+      let ta = table_of a and tb = table_of b in
+      let ra = Ref.of_assignments a and rb = Ref.of_assignments b in
+      let sign x = compare x 0 in
+      same_bindings (Counter_table.bindings ta) (History.Map.bindings ra)
+      && Counter_table.cardinal ta = History.Map.cardinal ra
+      && Counter_table.get ta h = Ref.get ra h
+      && sign (Counter_table.compare ta tb) = sign (History.Map.compare Int.compare ra rb)
+      && Counter_table.equal ta tb = History.Map.equal Int.equal ra rb
+      && Counter_table.is_max ta h = (Ref.get ra h >= Ref.table_max ra)
+      &&
+      match Counter_table.max_binding ta, Ref.max_binding ra with
+      | None, None -> true
+      | Some (h1, c1), Some (h2, c2) -> History.equal h1 h2 && c1 = c2
+      | Some _, None | None, Some _ -> false)
 
 (* --- Stats ------------------------------------------------------------------ *)
 
@@ -404,6 +520,7 @@ let () =
           qc prop_history_roundtrip;
           qc prop_history_prefix_model;
           qc prop_history_lexicographic;
+          qc prop_history_prefix_ids_ascend;
         ] );
       ( "counter-table",
         [
@@ -413,6 +530,8 @@ let () =
           Alcotest.test_case "is_max" `Quick test_ct_is_max;
           Alcotest.test_case "max_binding" `Quick test_ct_max_binding;
           qc prop_ct_min_merge_model;
+          qc prop_ct_fused_step;
+          qc prop_ct_queries_model;
         ] );
       ( "stats",
         [
