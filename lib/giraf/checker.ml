@@ -183,31 +183,67 @@ let check_env (t : Trace.t) =
 
 (* --- Consensus checking -------------------------------------------------- *)
 
-let check_consensus ?(expect_termination = true) (t : Trace.t) =
-  let decisions = Trace.decisions t in
-  let proposed = Array.to_list t.inputs in
-  let validity =
-    List.filter_map
-      (fun (pid, _, v) ->
-        if List.exists (Value.equal v) proposed then None
-        else Some (Validity_violation { pid; value = v }))
+module Consensus = struct
+  type t = {
+    inputs : Value.Set.t;
+    exempt : int list;  (* pids outside the agreement obligation *)
+    first : (int * Value.t) option;
+    decided : (int * Value.t) list;  (* latest first *)
+  }
+
+  let create ?(agreement_exempt = []) ~inputs () =
+    {
+      inputs = Value.set_of_list inputs;
+      exempt = agreement_exempt;
+      first = None;
+      decided = [];
+    }
+
+  let observe t ~pid ~value =
+    let exempt = List.mem pid t.exempt in
+    let disagree p1 v1 =
+      if Value.equal v1 value then []
+      else [ Agreement_violation { p1; v1; p2 = pid; v2 = value } ]
+    in
+    let violations =
+      (if Value.Set.mem value t.inputs then []
+       else [ Validity_violation { pid; value } ])
+      @ (match t.first with Some (p1, v1) when not exempt -> disagree p1 v1 | _ -> [])
+      (* Irrevocability: a second, different decision of the same pid. *)
+      @ match List.assoc_opt pid t.decided with Some v0 -> disagree pid v0 | None -> []
+    in
+    let first = if exempt || t.first <> None then t.first else Some (pid, value) in
+    ({ t with first; decided = (pid, value) :: t.decided }, violations)
+
+  let decided t = List.rev t.decided
+end
+
+let check_decisions ?agreement_exempt ~inputs decisions =
+  let _, rev_violations =
+    List.fold_left
+      (fun (m, acc) (pid, _, value) ->
+        let m, vs = Consensus.observe m ~pid ~value in
+        (m, List.rev_append vs acc))
+      (Consensus.create ?agreement_exempt ~inputs (), [])
       decisions
   in
+  let validity, agreement =
+    List.partition
+      (function Validity_violation _ -> true | _ -> false)
+      (List.rev rev_violations)
+  in
+  validity @ agreement
+
+let check_consensus ?(expect_termination = true) (t : Trace.t) =
+  let decisions = Trace.decisions t in
   (* Agreement and termination are promised to correct {e stayers} only: a
      churner that rejoins after every stayer halted runs alone on a fresh
      state and may legitimately decide its own value (anonymity leaves it
      nothing to recover). With [Churn.none] every pid is a stayer, so this
      is the classic check. Validity binds everyone. *)
-  let stayer pid = Churn.is_stayer t.churn pid in
-  let agreement =
-    match List.filter (fun (p, _, _) -> stayer p) decisions with
-    | [] -> []
-    | (p1, _, v1) :: rest ->
-      List.filter_map
-        (fun (p2, _, v2) ->
-          if Value.equal v1 v2 then None
-          else Some (Agreement_violation { p1; v1; p2; v2 }))
-        rest
+  let churners = List.map (fun (ev : Churn.event) -> ev.pid) (Churn.events t.churn) in
+  let safety =
+    check_decisions ~agreement_exempt:churners ~inputs:(Array.to_list t.inputs) decisions
   in
   let termination =
     if not expect_termination then []
@@ -215,15 +251,50 @@ let check_consensus ?(expect_termination = true) (t : Trace.t) =
       let decided = List.map (fun (pid, _, _) -> pid) decisions in
       let undecided =
         List.filter
-          (fun p -> stayer p && not (List.mem p decided))
+          (fun p -> Churn.is_stayer t.churn p && not (List.mem p decided))
           (Crash.correct t.crash)
       in
       if undecided = [] then []
       else [ Termination_violation { undecided; horizon = Trace.last_round t } ]
   in
-  validity @ agreement @ termination
+  safety @ termination
 
 (* --- Weak-set semantics --------------------------------------------------- *)
+
+module Weak_set = struct
+  type t = {
+    invoked : Value.Set.t;
+    completed : (Value.t * int) list;  (* (value, completion time), latest first *)
+  }
+
+  let create () = { invoked = Value.Set.empty; completed = [] }
+  let invoke_add t v = { t with invoked = Value.Set.add v t.invoked }
+  let complete_add t v ~time = { t with completed = (v, time) :: t.completed }
+  let invoked t = t.invoked
+  let completed_values t = Value.set_of_list (List.map fst t.completed)
+
+  let observe_get t ~client ~correct ~invoked_at ~result =
+    let lost =
+      if not correct then []
+      else
+        List.filter_map
+          (fun (v, completed_at) ->
+            if completed_at < invoked_at && not (Value.Set.mem v result) then
+              Some
+                (Weak_set_lost_add
+                   { value = v; get_client = client; get_invoked = invoked_at })
+            else None)
+          (List.rev t.completed)
+    in
+    let phantom =
+      Value.Set.fold
+        (fun v acc ->
+          if Value.Set.mem v t.invoked then acc
+          else Weak_set_phantom_value { value = v; get_client = client } :: acc)
+        result []
+    in
+    lost @ phantom
+end
 
 type ws_add = {
   add_client : int;
@@ -241,39 +312,51 @@ type ws_get = {
 
 type ws_op = Ws_add of ws_add | Ws_get of ws_get
 
+type ws_event = Invoke of Value.t | Complete of Value.t | Judge of int * ws_get
+
 let check_weak_set ?correct ops =
-  let adds = List.filter_map (function Ws_add a -> Some a | Ws_get _ -> None) ops in
-  let gets = List.filter_map (function Ws_get g -> Some g | Ws_add _ -> None) ops in
   let is_correct client =
     match correct with None -> true | Some cs -> List.mem client cs
   in
-  let lost_for_get g =
-    List.filter_map
-      (fun a ->
-        match a.add_completed with
-        | Some c when c < g.get_invoked && not (Value.Set.mem a.add_value g.get_result)
-          ->
-          Some
-            (Weak_set_lost_add
-               {
-                 value = a.add_value;
-                 get_client = g.get_client;
-                 get_invoked = g.get_invoked;
-               })
-        | Some _ | None -> None)
-      adds
+  (* Replay the history through the monitor in time order. At equal times
+     the add events come first, so a get judged at its completion sees
+     every add invoked by then (non-triviality: [add_invoked <=
+     get_completed]); its inclusion check counts only completions strictly
+     before its invocation. Gets carry their index in [ops] so the report
+     keeps the history's order. *)
+  let events =
+    List.concat
+      (List.mapi
+         (fun i -> function
+           | Ws_add a ->
+             (a.add_invoked, Invoke a.add_value)
+             :: Option.fold ~none:[]
+                  ~some:(fun c -> [ (c, Complete a.add_value) ])
+                  a.add_completed
+           | Ws_get g -> [ (g.get_completed, Judge (i, g)) ])
+         ops)
+    |> List.stable_sort (fun (t1, e1) (t2, e2) ->
+           let is_get = function Judge _ -> 1 | Invoke _ | Complete _ -> 0 in
+           compare (t1, is_get e1) (t2, is_get e2))
   in
-  let phantom_for_get g =
-    Value.Set.fold
-      (fun v acc ->
-        let justified =
-          List.exists
-            (fun a -> Value.equal a.add_value v && a.add_invoked <= g.get_completed)
-            adds
-        in
-        if justified then acc
-        else Weak_set_phantom_value { value = v; get_client = g.get_client } :: acc)
-      g.get_result []
+  let _, judged =
+    List.fold_left
+      (fun (m, judged) (time, ev) ->
+        match ev with
+        | Invoke v -> (Weak_set.invoke_add m v, judged)
+        | Complete v -> (Weak_set.complete_add m v ~time, judged)
+        | Judge (i, g) ->
+          let vs =
+            Weak_set.observe_get m ~client:g.get_client
+              ~correct:(is_correct g.get_client) ~invoked_at:g.get_invoked
+              ~result:g.get_result
+          in
+          (m, (i, vs) :: judged))
+      (Weak_set.create (), []) events
   in
-  List.concat_map lost_for_get (List.filter (fun g -> is_correct g.get_client) gets)
-  @ List.concat_map phantom_for_get gets
+  let lost, phantom =
+    List.sort (fun (i, _) (j, _) -> Int.compare i j) judged
+    |> List.concat_map snd
+    |> List.partition (function Weak_set_lost_add _ -> true | _ -> false)
+  in
+  lost @ phantom

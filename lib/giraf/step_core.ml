@@ -30,7 +30,6 @@ module Consensus (A : Intf.ALGORITHM) = struct
     out : A.msg option array;  (* this round's broadcast; None = sends nothing *)
     inflight : (int * int * A.msg) list array;  (* (arrival, sent, msg), undrained *)
     fate : fate array;
-    version : int array;  (* bumped whenever p's observable view changes *)
     is_crashing : bool array;  (* scratch mirror of crashing_now pids *)
     mutable round : int;  (* 0 before the first begin_round *)
     mutable crashing_now : Crash.event list;  (* latched round-[round] events *)
@@ -53,7 +52,6 @@ module Consensus (A : Intf.ALGORITHM) = struct
       out = Array.make n None;
       inflight = Array.make n [];
       fate = Array.make n Live;
-      version = Array.make n 0;
       is_crashing = Array.make n false;
       round = 0;
       crashing_now = [];
@@ -70,24 +68,17 @@ module Consensus (A : Intf.ALGORITHM) = struct
       out = Array.copy t.out;
       inflight = Array.copy t.inflight;
       fate = Array.copy t.fate;
-      version = Array.copy t.version;
       is_crashing = Array.copy t.is_crashing;
     }
 
-  let n t = t.n
   let round t = t.round
   let fate t p = t.fate.(p)
   let state t p = t.st.(p)
   let out t p = t.out.(p)
   let inflight t p = t.inflight.(p)
-  let version t p = t.version.(p)
   let stable t = t.stable
-  let correct t = t.correct
-  let correct_stayers t = t.correct_stayers
-  let crashing_now t = t.crashing_now
   let crashing_pids t = List.map (fun (ev : Crash.event) -> ev.pid) t.crashing_now
   let mailbox_pending t p = List.length t.inflight.(p)
-  let bump t p = t.version.(p) <- t.version.(p) + 1
 
   let begin_round ?on_leave ?on_rejoin t =
     let k = t.round + 1 in
@@ -102,7 +93,6 @@ module Consensus (A : Intf.ALGORITHM) = struct
         | Live ->
           t.fate.(ev.pid) <- Away;
           t.out.(ev.pid) <- None;
-          bump t ev.pid;
           (match on_leave with Some f -> f ~pid:ev.pid | None -> ())
         | Crashed | Halted | Away -> ())
       (Churn.leaving_at t.churn ~round:k);
@@ -113,7 +103,6 @@ module Consensus (A : Intf.ALGORITHM) = struct
           t.fate.(ev.pid) <- Live;
           t.st.(ev.pid) <- None;
           t.inflight.(ev.pid) <- [];
-          bump t ev.pid;
           (match on_rejoin with Some f -> f ~pid:ev.pid | None -> ())
         | Crashed | Halted -> ())
       (Churn.rejoining_at t.churn ~round:k);
@@ -137,7 +126,6 @@ module Consensus (A : Intf.ALGORITHM) = struct
       match t.fate.(p) with
       | Crashed | Halted | Away -> ()
       | Live ->
-        bump t p;
         (match t.st.(p) with
         | None ->
           (* Round 1 and just after a rejoin: start fresh from the
@@ -201,8 +189,7 @@ module Consensus (A : Intf.ALGORITHM) = struct
         ~receivers:(alive t) ~plan ~crash_rng
         ?on_deliver
         ~schedule:(fun ~receiver ~arrival ~sent msg ->
-          t.inflight.(receiver) <- (arrival, sent, msg) :: t.inflight.(receiver);
-          bump t receiver)
+          t.inflight.(receiver) <- (arrival, sent, msg) :: t.inflight.(receiver))
         ()
     in
     List.iter
@@ -211,17 +198,13 @@ module Consensus (A : Intf.ALGORITHM) = struct
         t.st.(ev.pid) <- None;
         t.out.(ev.pid) <- None;
         t.inflight.(ev.pid) <- [];
-        bump t ev.pid;
         match on_crash with Some f -> f ~pid:ev.pid | None -> ())
       t.crashing_now;
     (match t.env with
     | Env.Ess { gst } when k >= gst -> (
       match plan.Adversary.source with
-      | Some _ as src when src <> t.stable ->
-        (match t.stable with Some p -> bump t p | None -> ());
-        (match src with Some p -> bump t p | None -> ());
-        t.stable <- src
-      | Some _ | None -> ())
+      | Some _ as src -> t.stable <- src
+      | None -> ())
     | Env.Sync | Env.Ms | Env.Es _ | Env.Ess _ | Env.Async | Env.Dynamic _ -> ());
     stats
 
@@ -289,7 +272,6 @@ module Service (S : Intf.SERVICE) = struct
       blocked = Array.copy t.blocked;
     }
 
-  let n t = t.n
   let round t = t.round
   let fate t p = t.fate.(p)
   let state t p = t.st.(p)
@@ -298,8 +280,6 @@ module Service (S : Intf.SERVICE) = struct
   let version t p = t.version.(p)
   let script t p = t.script.(p)
   let blocked t p = t.blocked.(p)
-  let correct t = t.correct
-  let crashing_now t = t.crashing_now
   let crashing_pids t = List.map (fun (ev : Crash.event) -> ev.pid) t.crashing_now
   let mailbox_pending t p = List.length t.inflight.(p)
   let bump t p = t.version.(p) <- t.version.(p) + 1

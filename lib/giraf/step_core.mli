@@ -26,10 +26,11 @@
     read states through the accessors. The hooks default to no-ops so the
     checker pays nothing for the runner's observability.
 
-    Per-process [version] counters increment whenever that process's
-    observable view (state, broadcast, mailbox, fate, stable flag)
-    changes; the checker uses them to update canonical-key digests
-    incrementally instead of re-rendering every view.
+    The service core keeps per-process [version] counters that increment
+    whenever that process's observable view (state, broadcast, mailbox,
+    fate, script, blocked add) changes; [Anon_mc.Ws_sys] uses them to update
+    canonical-key digests incrementally instead of re-rendering every
+    view.
 
     {b Pinned adversary stack order.} The plan fed to [deliver] may pass
     through wrapper layers before it arrives here; their order is fixed,
@@ -102,7 +103,6 @@ module Consensus (A : Intf.ALGORITHM) : sig
       [Broadcast_subset] crasher — the model checker's plans always script
       those, so it may pass any generator. *)
 
-  val n : t -> int
   val round : t -> int
   val fate : t -> int -> fate
   val state : t -> int -> A.state option
@@ -113,12 +113,8 @@ module Consensus (A : Intf.ALGORITHM) : sig
   val inflight : t -> int -> (int * int * A.msg) list
   (** Undrained [(arrival, sent, msg)] deliveries, newest first. *)
 
-  val version : t -> int -> int
-  val crashing_now : t -> Crash.event list
   val crashing_pids : t -> int list
   val stable : t -> int option
-  val correct : t -> int list
-  val correct_stayers : t -> int list
   val undecided_correct_stayers : t -> int list
   (** Liveness is owed to correct stayers only: a churner may rejoin after
       everyone halted and run alone forever. *)
@@ -176,7 +172,6 @@ module Service (S : Intf.SERVICE) : sig
       client in pid order, each starting no earlier than its scripted
       round. Adds set the BLOCK flag; gets are non-blocking. *)
 
-  val n : t -> int
   val round : t -> int
   val fate : t -> int -> fate
   val state : t -> int -> S.state option
@@ -185,8 +180,6 @@ module Service (S : Intf.SERVICE) : sig
   val version : t -> int -> int
   val script : t -> int -> (int * op_spec) list
   val blocked : t -> int -> (Anon_kernel.Value.t * int) option
-  val crashing_now : t -> Crash.event list
   val crashing_pids : t -> int list
-  val correct : t -> int list
   val mailbox_pending : t -> int -> int
 end

@@ -5,7 +5,7 @@
     thread and lets synchrony emerge from the wall clock: processes
     exchange round messages over the faulty {!Transport}, pace their
     rounds with an adaptive {!Pacer}, and assemble inboxes through the
-    shared {!Anon_giraf.Backend.ready_inbox} — the seam that makes a
+    shared {!Anon_giraf.Backend.ready_current} — the seam that makes a
     zero-fault live run decide {e exactly} what the lockstep runner
     decides at the same rounds (the differential suite pins this).
 
@@ -81,8 +81,6 @@ type process_report = {
   decide_latency_s : float option;  (** Run start to decision, wall seconds. *)
 }
 
-type safety = Safe | Violations of string list
-
 type outcome = {
   decisions : (int * int * Anon_kernel.Value.t) list;
       (** [(pid, round, value)] in wall-clock decide order. *)
@@ -96,9 +94,10 @@ type outcome = {
       (** Per wait-round maximum of the processes' pacer trajectories —
           the run's discovered-synchrony profile. *)
   decide_latency : Anon_obs.Hist.t;  (** Seconds; one observation per decision. *)
-  safety : safety;
-      (** Agreement + validity over the decided processes, checked on
-          every run (fault-heavy and undecided runs included). *)
+  safety : Anon_giraf.Checker.violation list;
+      (** Agreement + validity over the decided processes
+          ({!Anon_giraf.Checker.check_decisions}), checked on every run
+          (fault-heavy and undecided runs included); [\[\]] when safe. *)
 }
 
 module Make (A : Anon_giraf.Intf.ALGORITHM) : sig

@@ -1,6 +1,5 @@
 open Anon_kernel
 module G = Anon_giraf
-module Inv = Anon_consensus.Invariants
 
 module type MODEL = sig
   include G.Intf.ALGORITHM
@@ -85,7 +84,7 @@ struct
             successor whose every receiver projection was already seen at
             its parent is built from the cached entries alone; its core is
             stepped only if the search goes on from it. *)
-    inv : Inv.Consensus.t;
+    inv : G.Checker.Consensus.t;
     key : string Lazy.t;
     pending : int list;  (** Undecided correct stayers. *)
     memo : G.Plan_enum.memo;
@@ -121,7 +120,7 @@ struct
       match decisions pid with
       | None -> ()
       | Some value ->
-        let inv', vs = Inv.Consensus.observe !inv ~pid ~value in
+        let inv', vs = G.Checker.Consensus.observe !inv ~pid ~value in
         inv := inv';
         viols := !viols @ vs
     done;
@@ -129,7 +128,8 @@ struct
 
   let global inv =
     let decided =
-      List.sort_uniq Value.compare (List.map snd (Inv.Consensus.decided inv))
+      List.sort_uniq Value.compare
+        (List.map snd (G.Checker.Consensus.decided inv))
     in
     String.concat "," (List.map Value.to_string decided)
 
@@ -251,7 +251,7 @@ struct
     (* Iteration 1 is [initialize] everywhere — no process can decide. *)
     ignore (Core.compute core : A.msg G.Dispatch.outbound list);
     full_node ~memo:(G.Plan_enum.memo ()) core
-      (Inv.Consensus.create
+      (G.Checker.Consensus.create
          ~agreement_exempt:
            (List.map (fun (ev : G.Churn.event) -> ev.pid)
               (G.Churn.events spec.churn))
@@ -442,7 +442,7 @@ struct
       List.sort compare
         (List.map
            (fun (p, v) -> (p, Value.to_string v))
-           (Inv.Consensus.decided s.inv))
+           (G.Checker.Consensus.decided s.inv))
     in
     Buffer.add_string b
       ("decided "

@@ -7,7 +7,7 @@
     (round-[k] messages produced, round-[k] crash events latched), and one
     step applies a round-[k] delivery plan, marks the crashers, and runs the
     compute phase of iteration [k+1]. Decisions feed
-    {!Anon_consensus.Invariants.Consensus} online, so a violating schedule
+    {!Anon_giraf.Checker.Consensus} online, so a violating schedule
     is reported at the transition that commits it.
 
     A successor whose receivers each see a delivery pattern already

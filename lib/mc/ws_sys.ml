@@ -1,7 +1,6 @@
 open Anon_kernel
 module G = Anon_giraf
 module S = Anon_consensus.Weak_set_ms
-module Inv = Anon_consensus.Invariants
 
 type spec = {
   n : int;
@@ -47,7 +46,7 @@ struct
 
   type sys = {
     core : Core.t;  (** Node = core after the compute phase of iteration [round]. *)
-    inv : Inv.Weak_set.t;
+    inv : G.Checker.Weak_set.t;
     digest : Canon.Digest.t;
     memo : G.Plan_enum.memo;  (** See {!Consensus_sys}. *)
   }
@@ -61,7 +60,7 @@ struct
     ignore (Core.compute core : S.msg G.Dispatch.outbound list);
     {
       core;
-      inv = Inv.Weak_set.create ();
+      inv = G.Checker.Weak_set.create ();
       digest = Canon.Digest.create ~n;
       memo = G.Plan_enum.memo ();
     }
@@ -80,12 +79,13 @@ struct
     let gets = ref [] in
     Core.ops core
       ~on_get:(fun ~pid ~result -> gets := (pid, result) :: !gets)
-      ~on_add:(fun ~pid:_ ~value -> inv := Inv.Weak_set.invoke_add !inv value);
+      ~on_add:(fun ~pid:_ ~value ->
+        inv := G.Checker.Weak_set.invoke_add !inv value);
     let op_time = (2 * k) + 1 in
     let viols =
       List.concat_map
         (fun (p, result) ->
-          Inv.Weak_set.observe_get !inv ~client:p
+          G.Checker.Weak_set.observe_get !inv ~client:p
             ~correct:(G.Crash.is_correct spec.crash p)
             ~invoked_at:op_time ~result)
         (List.rev !gets)
@@ -93,7 +93,7 @@ struct
     Core.begin_round core;
     ignore
       (Core.compute core ~on_add_complete:(fun ~pid:_ ~value ~invoked_round:_ ->
-           inv := Inv.Weak_set.complete_add !inv value ~time:(2 * (k + 1)))
+           inv := G.Checker.Weak_set.complete_add !inv value ~time:(2 * (k + 1)))
         : S.msg G.Dispatch.outbound list);
     ( { core; inv = !inv; digest = Canon.Digest.copy s.digest; memo = s.memo },
       viols )
@@ -180,8 +180,8 @@ struct
 
   let global s =
     Printf.sprintf "inv:%s/comp:%s"
-      (set_str (Inv.Weak_set.invoked s.inv))
-      (set_str (Inv.Weak_set.completed_values s.inv))
+      (set_str (G.Checker.Weak_set.invoked s.inv))
+      (set_str (G.Checker.Weak_set.completed_values s.inv))
 
   let key s =
     for p = 0 to n - 1 do

@@ -7,7 +7,7 @@
     operation per unblocked client, on the service-runner logical clock:
     computes at [2k], operations at [2k + 1]), and computes iteration
     [k+1], detecting [add] completions. Each completed [get] is judged
-    online against {!Anon_consensus.Invariants.Weak_set}.
+    online against {!Anon_giraf.Checker.Weak_set}.
 
     The workload is {!Anon_chaos.Scenario.mc_workload} — deterministic and
     pid-pinned, so emitted witnesses replay through the chaos path

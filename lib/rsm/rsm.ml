@@ -318,19 +318,20 @@ module Make (A : G.Intf.ALGORITHM) = struct
     let instances =
       List.init !next_instance (fun i -> Hashtbl.find closed i)
     in
-    let agreement_ok =
-      List.for_all
+    (* No churn exemption here: every decider of an instance must agree. *)
+    let violations =
+      List.concat_map
         (fun (ir : instance_result) ->
-          match ir.decisions with
-          | [] -> true
-          | (_, _, v0) :: rest -> List.for_all (fun (_, _, v) -> v = v0) rest)
+          G.Checker.check_decisions ~agreement_exempt:[] ~inputs:ir.batch_values
+            ir.decisions)
         instances
     in
+    let none_such p = not (List.exists p violations) in
+    let agreement_ok =
+      none_such (function G.Checker.Agreement_violation _ -> true | _ -> false)
+    in
     let validity_ok =
-      List.for_all
-        (fun (ir : instance_result) ->
-          List.for_all (fun (_, _, v) -> List.mem v ir.batch_values) ir.decisions)
-        instances
+      none_such (function G.Checker.Validity_violation _ -> true | _ -> false)
     in
     if obs_on then begin
       M.set_gauge g_rounds (float_of_int rounds);

@@ -75,7 +75,9 @@ type outcome = {
   rounds : int;  (** Global rounds executed. *)
   broadcasts : int;  (** Physical bundle broadcasts (one per sender per round). *)
   instance_msgs : int;  (** Per-instance messages inside those bundles. *)
-  agreement_ok : bool;  (** No instance saw two distinct decided values. *)
+  agreement_ok : bool;
+      (** No instance saw two distinct decided values
+          ({!Anon_giraf.Checker.check_decisions}, churners not exempt). *)
   validity_ok : bool;  (** Every decision is one of its instance's batch values. *)
 }
 

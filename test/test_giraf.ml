@@ -702,6 +702,311 @@ let test_checker_exact_lost_add () =
       (String.concat "; "
          (List.map (Format.asprintf "%a" G.Checker.pp_violation) vs))
 
+(* --- Folded checks = the whole-trace checks they replaced ------------------- *)
+
+(* Reference agreement + validity: [Checker.check_consensus]'s body before
+   it became a fold of [Checker.Consensus]. *)
+let ref_consensus_safety (t : G.Trace.t) =
+  let decisions = G.Trace.decisions t in
+  let proposed = Array.to_list t.inputs in
+  let validity =
+    List.filter_map
+      (fun (pid, _, v) ->
+        if List.exists (Value.equal v) proposed then None
+        else Some (G.Checker.Validity_violation { pid; value = v }))
+      decisions
+  in
+  let stayer pid = G.Churn.is_stayer t.churn pid in
+  let agreement =
+    match List.filter (fun (p, _, _) -> stayer p) decisions with
+    | [] -> []
+    | (p1, _, v1) :: rest ->
+      List.filter_map
+        (fun (p2, _, v2) ->
+          if Value.equal v1 v2 then None
+          else Some (G.Checker.Agreement_violation { p1; v1; p2; v2 }))
+        rest
+  in
+  validity @ agreement
+
+(* Reference weak-set axioms: [Checker.check_weak_set]'s body before it
+   became a time-ordered replay into [Checker.Weak_set]. *)
+let ref_weak_set ?correct ops =
+  let adds =
+    List.filter_map (function G.Checker.Ws_add a -> Some a | Ws_get _ -> None) ops
+  in
+  let gets =
+    List.filter_map (function G.Checker.Ws_get g -> Some g | Ws_add _ -> None) ops
+  in
+  let is_correct client =
+    match correct with None -> true | Some cs -> List.mem client cs
+  in
+  let lost_for_get (g : G.Checker.ws_get) =
+    List.filter_map
+      (fun (a : G.Checker.ws_add) ->
+        match a.add_completed with
+        | Some c when c < g.get_invoked && not (Value.Set.mem a.add_value g.get_result)
+          ->
+          Some
+            (G.Checker.Weak_set_lost_add
+               {
+                 value = a.add_value;
+                 get_client = g.get_client;
+                 get_invoked = g.get_invoked;
+               })
+        | Some _ | None -> None)
+      adds
+  in
+  let phantom_for_get (g : G.Checker.ws_get) =
+    Value.Set.fold
+      (fun v acc ->
+        let justified =
+          List.exists
+            (fun (a : G.Checker.ws_add) ->
+              Value.equal a.add_value v && a.add_invoked <= g.get_completed)
+            adds
+        in
+        if justified then acc
+        else G.Checker.Weak_set_phantom_value { value = v; get_client = g.get_client } :: acc)
+      g.get_result []
+  in
+  List.concat_map lost_for_get
+    (List.filter (fun (g : G.Checker.ws_get) -> is_correct g.get_client) gets)
+  @ List.concat_map phantom_for_get gets
+
+let pp_violations vs =
+  String.concat "; " (List.map (Format.asprintf "%a" G.Checker.pp_violation) vs)
+
+(* Random decision traces: inputs from a small range, deciders distinct (a
+   decider halts), values that are sometimes proposed by nobody, and some
+   pids churning. The order of the result is pinned too: repro files
+   compare violation strings in order. *)
+let prop_consensus_fold_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 6 >>= fun n ->
+      array_repeat n (int_bound 5) >>= fun inputs ->
+      array_repeat n bool >>= fun churns ->
+      shuffle_l (List.init n Fun.id) >>= fun order ->
+      int_bound n >>= fun k ->
+      let deciders = List.filteri (fun i _ -> i < k) order in
+      flatten_l
+        (List.map
+           (fun pid -> map2 (fun round v -> (pid, round, v)) (int_range 1 3) (int_bound 7))
+           deciders)
+      >|= fun decisions -> (inputs, churns, decisions))
+  in
+  let trace (inputs, churns, decisions) =
+    let n = Array.length inputs in
+    let churn =
+      G.Churn.of_events ~n
+        (List.filter_map
+           (fun pid ->
+             if churns.(pid) then Some { G.Churn.pid; leave = 1; rejoin = Some 2 }
+             else None)
+           (List.init n Fun.id))
+    in
+    let round r =
+      {
+        (base_round ~round:r ~senders:[] ~obligated:[] ~timely:[]) with
+        G.Trace.decided =
+          List.filter_map
+            (fun (p, r', v) -> if r' = r then Some (p, v) else None)
+            decisions;
+      }
+    in
+    {
+      G.Trace.n;
+      inputs;
+      crash = G.Crash.none ~n;
+      churn;
+      env = G.Env.Ms;
+      rounds = List.map round [ 1; 2; 3 ];
+    }
+  in
+  let print ((inputs, churns, decisions) as c) =
+    Printf.sprintf "inputs [%s] churners [%s] decisions [%s] -> [%s]"
+      (String.concat ";" (Array.to_list (Array.map string_of_int inputs)))
+      (String.concat ";"
+         (List.filter_map
+            (fun p -> if churns.(p) then Some (string_of_int p) else None)
+            (List.init (Array.length churns) Fun.id)))
+      (String.concat ";"
+         (List.map (fun (p, r, v) -> Printf.sprintf "p%d@%d=%d" p r v) decisions))
+      (pp_violations
+         (G.Checker.check_consensus ~expect_termination:false (trace c)))
+  in
+  QCheck.Test.make ~name:"check_consensus safety = reference" ~count:1000
+    (QCheck.make ~print gen)
+    (fun c ->
+      let t = trace c in
+      G.Checker.check_consensus ~expect_termination:false t = ref_consensus_safety t)
+
+(* Random weak-set histories: timestamps from a small range (so ties
+   between invocations, completions and gets are common), adds still
+   pending at the end, gets returning values nobody added, and faulty
+   clients. Compared as multisets: the replay lists a get's lost adds in
+   completion order, the reference in history order. *)
+let prop_weak_set_fold_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 4 >>= fun n ->
+      let add =
+        int_bound (n - 1) >>= fun add_client ->
+        int_bound 5 >>= fun add_value ->
+        int_bound 8 >>= fun add_invoked ->
+        opt (int_bound 3) >|= fun d ->
+        G.Checker.Ws_add
+          {
+            add_client;
+            add_value;
+            add_invoked;
+            add_completed = Option.map (( + ) add_invoked) d;
+          }
+      in
+      let get =
+        int_bound (n - 1) >>= fun get_client ->
+        list_size (int_bound 4) (int_bound 6) >>= fun result ->
+        int_bound 10 >>= fun get_invoked ->
+        int_bound 3 >|= fun d ->
+        G.Checker.Ws_get
+          {
+            get_client;
+            get_result = Value.set_of_list result;
+            get_invoked;
+            get_completed = get_invoked + d;
+          }
+      in
+      list_size (int_bound 12) (oneof [ add; get ]) >>= fun ops ->
+      opt (list_size (int_bound n) (int_bound (n - 1))) >|= fun correct ->
+      (correct, ops))
+  in
+  let print (correct, ops) =
+    let op = function
+      | G.Checker.Ws_add a ->
+        Printf.sprintf "c%d add %d @%d..%s" a.add_client a.add_value a.add_invoked
+          (match a.add_completed with Some c -> string_of_int c | None -> "pending")
+      | G.Checker.Ws_get g ->
+        Format.asprintf "c%d get %a @%d..%d" g.get_client Value.pp_set g.get_result
+          g.get_invoked g.get_completed
+    in
+    Printf.sprintf "correct %s: %s"
+      (match correct with
+      | None -> "all"
+      | Some cs -> String.concat "," (List.map string_of_int cs))
+      (String.concat "; " (List.map op ops))
+  in
+  QCheck.Test.make ~name:"check_weak_set = reference (multiset)" ~count:1000
+    (QCheck.make ~print gen)
+    (fun (correct, ops) ->
+      List.sort compare (G.Checker.check_weak_set ?correct ops)
+      = List.sort compare (ref_weak_set ?correct ops))
+
+(* --- Fail closed: every backend flags an unsafe algorithm ------------------- *)
+
+(* Decides [P.pick input] at its first compute, without reading its inbox. *)
+module Decide_at_once (P : sig
+  val name : string
+  val pick : Value.t -> Value.t
+end) =
+struct
+  let name = P.name
+
+  type msg = int
+  type state = Value.t
+
+  let msg_compare = Int.compare
+  let msg_size _ = 1
+  let pp_msg = Format.pp_print_int
+  let leader _ = None
+  let initialize v = (v, v)
+  let compute v ~round:_ ~inbox:_ = (v, v, Some (P.pick v))
+end
+
+module Decide_own = Decide_at_once (struct
+  let name = "decide-own"
+  let pick = Fun.id
+end)
+
+module Decide_unproposed = Decide_at_once (struct
+  let name = "decide-unproposed"
+  let pick _ = 999
+end)
+
+let unsafe_inputs = [ 10; 20; 30; 40 ]
+let unsafe_n = List.length unsafe_inputs
+let count p vs = List.length (List.filter p vs)
+let is_agreement = function G.Checker.Agreement_violation _ -> true | _ -> false
+let is_validity = function G.Checker.Validity_violation _ -> true | _ -> false
+
+(* The three backends' verdicts on one algorithm: the lockstep trace
+   through [check_consensus], the RSM's (agreement_ok, validity_ok) over
+   one instance whose batch holds every input, and the live run's list. *)
+let unsafe_verdicts (module A : G.Intf.ALGORITHM) =
+  let crash = G.Crash.none ~n:unsafe_n in
+  let lockstep =
+    let module R = G.Runner.Make (A) in
+    let out =
+      R.run
+        (G.Runner.default_config ~horizon:10 ~seed:1 ~inputs:unsafe_inputs ~crash
+           (G.Adversary.sync ()))
+    in
+    G.Checker.check_consensus ~expect_termination:false out.trace
+  in
+  let rsm =
+    let module M = Anon_rsm.Rsm.Make (A) in
+    let out =
+      M.run
+        {
+          Anon_rsm.Rsm.n = unsafe_n;
+          window = unsafe_n;
+          batch = unsafe_n;
+          horizon = 20;
+          seed = 1;
+          crash;
+          churn = G.Churn.none ~n:unsafe_n;
+          adversary = (fun _ -> G.Adversary.sync ());
+        }
+        ~proposals:
+          (List.mapi
+             (fun id value -> { Anon_rsm.Workload.id; arrival = 1; value })
+             unsafe_inputs)
+    in
+    (out.agreement_ok, out.validity_ok)
+  in
+  let live =
+    let module L = Anon_live.Runner.Make (A) in
+    (L.run (Anon_live.Runner.default_config ~inputs:unsafe_inputs ~crash ())).safety
+  in
+  (lockstep, rsm, live)
+
+let test_fail_closed_agreement () =
+  let lockstep, (agreement_ok, validity_ok), live =
+    unsafe_verdicts (module Decide_own)
+  in
+  check_int "lockstep: n-1 agreement violations" (unsafe_n - 1)
+    (count is_agreement lockstep);
+  check_int "lockstep: no validity violation" 0 (count is_validity lockstep);
+  check_bool "rsm: agreement_ok" false agreement_ok;
+  check_bool "rsm: validity_ok" true validity_ok;
+  check_int
+    (Printf.sprintf "live: n-1 agreement violations in [%s]" (pp_violations live))
+    (unsafe_n - 1) (count is_agreement live);
+  check_int "live: no validity violation" 0 (count is_validity live)
+
+let test_fail_closed_validity () =
+  let lockstep, (agreement_ok, validity_ok), live =
+    unsafe_verdicts (module Decide_unproposed)
+  in
+  check_int "lockstep: every decision invalid" unsafe_n (count is_validity lockstep);
+  check_int "lockstep: no agreement violation" 0 (count is_agreement lockstep);
+  check_bool "rsm: agreement_ok" true agreement_ok;
+  check_bool "rsm: validity_ok" false validity_ok;
+  check_int
+    (Printf.sprintf "live: every decision invalid in [%s]" (pp_violations live))
+    unsafe_n (count is_validity live);
+  check_int "live: no agreement violation" 0 (count is_agreement live)
+
 (* --- Property: every built-in adversary honours its own Env.t ----------------- *)
 
 (* Feed each adversary 200 rounds of contexts from a random crash schedule
@@ -867,6 +1172,12 @@ let () =
             test_checker_exact_agreement;
           Alcotest.test_case "exact no source" `Quick test_checker_exact_no_source;
           Alcotest.test_case "exact lost add" `Quick test_checker_exact_lost_add;
+          qc prop_consensus_fold_matches_reference;
+          qc prop_weak_set_fold_matches_reference;
+          Alcotest.test_case "fail closed: agreement" `Quick
+            test_fail_closed_agreement;
+          Alcotest.test_case "fail closed: validity" `Quick
+            test_fail_closed_validity;
         ] );
       ( "config",
         [
